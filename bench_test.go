@@ -10,6 +10,7 @@ import (
 	"repro/internal/baseline/sparklike"
 	"repro/internal/bench"
 	"repro/internal/engine"
+	"repro/internal/expr"
 	"repro/internal/flights"
 	"repro/internal/sketch"
 	"repro/internal/spreadsheet"
@@ -440,6 +441,51 @@ func BenchmarkKernelDistinct(b *testing.B) {
 		}
 	}
 	reportRows(b, rows)
+}
+
+// BenchmarkKernelNextK measures the next-K leaf scan behind the tabular
+// view over 250k flights rows, one worker's partition in the explore
+// workload, with the sort shapes of Fig. 5's first three ops: O1 sorts
+// by one double with two display columns, O2 by five doubles, O3 by one
+// airport string with two display columns. Page is O1 scrolled to a
+// start row in the middle of the order. Derived and DerivedPage sort by
+// a column derived with an expression (ArrDelay - DepDelay), which is
+// evaluated on every access instead of read from storage.
+func BenchmarkKernelNextK(b *testing.B) {
+	const rows = 250000
+	t := flights.Gen("knk", rows, 1, flights.CoreColumns)
+	gain, err := expr.DeriveColumn("ArrDelay - DepDelay", t)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if t, err = t.WithColumn("knk-gain", "Gain", gain); err != nil {
+		b.Fatal(err)
+	}
+	extra := []string{"Carrier", "Origin"}
+	from := table.Row{table.DoubleValue(10)}
+	shapes := []struct {
+		name string
+		sk   *sketch.NextKSketch
+	}{
+		{"O1", &sketch.NextKSketch{Order: table.Desc("ArrDelay"), Extra: extra, K: 25}},
+		{"O2", &sketch.NextKSketch{Order: table.Asc("DepDelay").Then("ArrDelay", false).
+			Then("TaxiOut", true).Then("AirTime", false).Then("Distance", true), K: 25}},
+		{"O3", &sketch.NextKSketch{Order: table.Asc("Origin"), Extra: []string{"Dest", "Carrier"}, K: 25}},
+		{"Page", &sketch.NextKSketch{Order: table.Desc("ArrDelay"), Extra: extra, K: 25, From: from}},
+		{"Derived", &sketch.NextKSketch{Order: table.Desc("Gain"), Extra: extra, K: 25}},
+		{"DerivedPage", &sketch.NextKSketch{Order: table.Desc("Gain"), Extra: extra, K: 25, From: from}},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sh.sk.Summarize(t); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportRows(b, rows)
+		})
+	}
 }
 
 // BenchmarkKernelShardedScan measures the engine-level sharded leaf

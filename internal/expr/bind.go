@@ -219,6 +219,11 @@ func bindBinary(n *BinaryNode, t *table.Table) (*Compiled, error) {
 			if a.Missing || b.Missing {
 				return table.MissingValue(table.KindInt)
 			}
+			// IEEE rules, not the total sort order: a NaN operand makes
+			// every relation false except !=.
+			if isNaN(a) || isNaN(b) {
+				return boolValue(op == "!=")
+			}
 			c := a.Compare(b)
 			switch op {
 			case "==":
@@ -266,6 +271,8 @@ func bindBinary(n *BinaryNode, t *table.Table) (*Compiled, error) {
 		return nil, fmt.Errorf("expr: unknown operator %q", n.Op)
 	}
 }
+
+func isNaN(v table.Value) bool { return v.Kind == table.KindDouble && math.IsNaN(v.D) }
 
 // Predicate binds src as a row filter: the compiled expression evaluated
 // with missing treated as false (filters drop rows the predicate cannot

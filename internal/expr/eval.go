@@ -65,8 +65,13 @@ var builtins = map[string]builtinSpec{
 	"pow": {2, 2, false, fixedKind(table.KindDouble), func(a []table.Value) table.Value {
 		return table.DoubleValue(math.Pow(a[0].Double(), a[1].Double()))
 	}},
+	// min and max follow math.Min and math.Max: a NaN argument gives NaN.
+	// NaN sorts after every other double, so max needs no NaN check.
 	"min": {2, 2, false, numKind, func(a []table.Value) table.Value {
-		if a[0].Compare(a[1]) <= 0 {
+		if isNaN(a[1]) {
+			return a[1]
+		}
+		if isNaN(a[0]) || a[0].Compare(a[1]) <= 0 {
 			return a[0]
 		}
 		return a[1]

@@ -315,6 +315,77 @@ func TestPredicateAndDerive(t *testing.T) {
 	}
 }
 
+// TestNaNComparisons checks that relational operators over doubles
+// follow IEEE rules: a NaN operand makes every relation false except
+// !=, so a filter such as x > 3 keeps no NaN rows. min and max return
+// NaN when either argument is NaN. (The table's sort
+// order, by contrast, places NaN after +Inf.)
+func TestNaNComparisons(t *testing.T) {
+	schema := table.NewSchema(
+		table.ColumnDesc{Name: "x", Kind: table.KindDouble},
+		table.ColumnDesc{Name: "n", Kind: table.KindInt},
+	)
+	b := table.NewBuilder(schema, 4)
+	b.AppendRow(table.Row{table.DoubleValue(math.NaN()), table.IntValue(3)})
+	b.AppendRow(table.Row{table.DoubleValue(5), table.IntValue(3)})
+	b.AppendRow(table.Row{table.DoubleValue(math.NaN()), table.IntValue(9)})
+	b.AppendRow(table.Row{table.DoubleValue(math.Inf(1)), table.IntValue(1)})
+	tbl := b.Freeze("nan")
+
+	want := map[string][]bool{
+		"x > 3":     {false, true, false, true},
+		"x >= 3":    {false, true, false, true},
+		"x == 3":    {false, false, false, false},
+		"x <= 3":    {false, false, false, false},
+		"x < 3":     {false, false, false, false},
+		"x != 3":    {true, true, true, true},
+		"x == x":    {false, true, false, true},
+		"x != x":    {true, false, true, false},
+		"n < x":     {false, true, false, true},
+		"x > n":     {false, true, false, true},
+		"n >= 3":    {true, true, true, false},
+		"x / 0 > 1": {false, false, false, false}, // division by zero is missing
+	}
+	for src, w := range want {
+		pred, err := Predicate(src, tbl)
+		if err != nil {
+			t.Fatalf("Predicate(%q): %v", src, err)
+		}
+		for row, keep := range w {
+			if got := pred(row); got != keep {
+				t.Errorf("%s at row %d = %t, want %t", src, row, got, keep)
+			}
+		}
+	}
+	if got := tbl.Filter("gt3", mustPredicate(t, "x > 3", tbl)).NumRows(); got != 2 {
+		t.Errorf("x > 3 keeps %d rows, want 2 (no NaN rows)", got)
+	}
+
+	// min and max follow math.Min and math.Max: a NaN argument, in
+	// either position, gives NaN.
+	for _, src := range []string{"min(x, 5)", "min(5, x)", "max(x, 5)", "max(5, x)"} {
+		c, err := Bind(src, tbl)
+		if err != nil {
+			t.Fatalf("Bind(%q): %v", src, err)
+		}
+		if got := c.Fn(0); !math.IsNaN(got.Double()) {
+			t.Errorf("%s with x = NaN = %v, want NaN", src, got)
+		}
+		if got, want := c.Fn(1).Double(), 5.0; got != want {
+			t.Errorf("%s with x = 5 = %v, want %v", src, got, want)
+		}
+	}
+}
+
+func mustPredicate(t *testing.T, src string, tbl *table.Table) func(int) bool {
+	t.Helper()
+	p, err := Predicate(src, tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestASTString(t *testing.T) {
 	// String() renders re-parseable source.
 	srcs := []string{

@@ -113,41 +113,34 @@ func (s *FindTextSketch) Summarize(t *table.Table) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]int, 0, len(s.Order)+len(s.Extra))
-	for _, o := range s.Order {
-		i := t.Schema().ColumnIndex(o.Column)
-		if i < 0 {
-			return nil, fmt.Errorf("sketch: find: no column %q", o.Column)
-		}
-		cols = append(cols, i)
+	ord, err := s.Order.Comparator(t, s.Extra...)
+	if err != nil {
+		return nil, fmt.Errorf("sketch: find: %w", err)
 	}
-	for _, name := range s.Extra {
-		i := t.Schema().ColumnIndex(name)
-		if i < 0 {
-			return nil, fmt.Errorf("sketch: find: no column %q", name)
-		}
-		cols = append(cols, i)
+	var from func(row int) int
+	if s.From != nil {
+		from = ord.KeyComparator(s.From)
 	}
-	keyCmp := s.Order.RowComparator()
-	cmp := (&NextKSketch{Order: s.Order}).rowCmp()
-	nOrder := len(s.Order)
 
 	out := &FindResult{}
+	best := -1 // physical row of the first match after From
 	t.Members().Iterate(func(row int) bool {
 		if col.Missing(row) || !match(col.Str(row)) {
 			return true
 		}
-		r := t.GetRowCols(row, cols)
-		if s.From != nil && keyCmp(r[:nOrder], s.From) <= 0 {
+		if from != nil && from(row) >= 0 {
 			out.MatchesBefore++
 			return true
 		}
 		out.MatchesAfter++
-		if out.Match == nil || cmp(r, out.Match) < 0 {
-			out.Match = r
+		if best < 0 || ord.Compare(row, best) < 0 {
+			best = row
 		}
 		return true
 	})
+	if best >= 0 {
+		out.Match = ord.Rows([]int{best})[0]
+	}
 	return out, nil
 }
 

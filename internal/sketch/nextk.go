@@ -30,6 +30,12 @@ type NextKList struct {
 // containing values for the order columns only (nil starts at the
 // beginning). The summarize function keeps a bounded ordered set; the
 // merge function merges two sorted lists and truncates (paper §4.3).
+//
+// Summarize's window holds physical row indexes, not rows: candidates
+// rank through the table's typed column comparisons
+// (table.PhysicalOrder), a full window rejects or counts most rows with
+// one comparison against its last entry, and only the at most K
+// surviving rows are materialized, after the scan.
 type NextKSketch struct {
 	Order table.RecordOrder
 	// Extra lists display columns beyond the sort columns.
@@ -70,54 +76,60 @@ func (s *NextKSketch) rowCmp() func(a, b table.Row) int {
 
 // Summarize implements Sketch.
 func (s *NextKSketch) Summarize(t *table.Table) (Result, error) {
-	cols := make([]int, 0, len(s.Order)+len(s.Extra))
-	for _, o := range s.Order {
-		i := t.Schema().ColumnIndex(o.Column)
-		if i < 0 {
-			return nil, fmt.Errorf("sketch: nextk: no column %q", o.Column)
-		}
-		cols = append(cols, i)
+	ord, err := s.Order.Comparator(t, s.Extra...)
+	if err != nil {
+		return nil, fmt.Errorf("sketch: nextk: %w", err)
 	}
-	for _, name := range s.Extra {
-		i := t.Schema().ColumnIndex(name)
-		if i < 0 {
-			return nil, fmt.Errorf("sketch: nextk: no column %q", name)
-		}
-		cols = append(cols, i)
+	var from func(row int) int
+	if s.From != nil {
+		from = ord.KeyComparator(s.From)
 	}
-	keyCmp := s.Order.RowComparator()
-	cmp := s.rowCmp()
 	out := s.Zero().(*NextKList)
-	nOrder := len(s.Order)
+	// win holds the window's physical rows in sort order, counts their
+	// duplicates.
+	var win []int
+	var counts []int64
 
 	t.Members().Iterate(func(row int) bool {
 		out.Total++
-		r := t.GetRowCols(row, cols)
-		if s.From != nil && keyCmp(r[:nOrder], s.From) <= 0 {
+		if n := len(win); n > 0 && n >= s.K {
+			// Full window: a row after its last entry is also after From.
+			c := ord.Compare(row, win[n-1])
+			if c > 0 {
+				return true
+			}
+			if c == 0 {
+				counts[n-1]++
+				return true
+			}
+		}
+		if from != nil && from(row) >= 0 {
 			out.Before++
 			return true
 		}
-		// Find insertion point in the bounded sorted list.
-		i := sort.Search(len(out.Rows), func(i int) bool { return cmp(out.Rows[i], r) >= 0 })
-		if i < len(out.Rows) && cmp(out.Rows[i], r) == 0 {
-			out.Counts[i]++
+		lo := sort.Search(len(win), func(m int) bool { return ord.Compare(win[m], row) >= 0 })
+		if lo < len(win) && ord.Compare(win[lo], row) == 0 {
+			counts[lo]++
 			return true
 		}
-		if i >= s.K {
+		if lo >= s.K {
 			return true // beyond the window
 		}
-		out.Rows = append(out.Rows, nil)
-		copy(out.Rows[i+1:], out.Rows[i:])
-		out.Rows[i] = r
-		out.Counts = append(out.Counts, 0)
-		copy(out.Counts[i+1:], out.Counts[i:])
-		out.Counts[i] = 1
-		if len(out.Rows) > s.K {
-			out.Rows = out.Rows[:s.K]
-			out.Counts = out.Counts[:s.K]
+		if len(win) == s.K {
+			win, counts = win[:len(win)-1], counts[:len(counts)-1]
 		}
+		win = append(win, 0)
+		copy(win[lo+1:], win[lo:])
+		win[lo] = row
+		counts = append(counts, 0)
+		copy(counts[lo+1:], counts[lo:])
+		counts[lo] = 1
 		return true
 	})
+	if len(win) > 0 {
+		out.Rows = ord.Rows(win)
+		out.Counts = counts
+	}
 	return out, nil
 }
 

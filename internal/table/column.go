@@ -31,7 +31,8 @@ type Column interface {
 	Str(i int) string
 	// Value returns row i as a self-describing Value.
 	Value(i int) Value
-	// Compare orders rows i and j; missing sorts first.
+	// Compare orders rows i and j; missing sorts first and NaN after
+	// every other double, agreeing with Value.Compare.
 	Compare(i, j int) int
 }
 

@@ -60,34 +60,83 @@ func (o RecordOrder) String() string {
 	return strings.Join(parts, ",")
 }
 
-// Comparator resolves the order against a table and returns a function
-// comparing two physical rows. Missing values sort first within each
-// component (before reversal for descending components).
-func (o RecordOrder) Comparator(t *Table) (func(i, j int) int, error) {
-	cols := make([]Column, len(o))
-	for k, c := range o {
-		col, err := t.Column(c.Column)
+// PhysicalOrder is a RecordOrder resolved against one table's columns,
+// followed by tie-break columns compared ascending. It orders physical
+// rows in place through the typed Column.Compare — int64s, float64s and
+// dictionary codes — so a scan can rank rows without materializing
+// them, and materializes only the rows it keeps.
+type PhysicalOrder struct {
+	cols []Column // order columns, then tie-break columns
+	asc  []bool   // per order column; tie-breaks are ascending
+}
+
+// Comparator resolves the order against t, followed by the extra
+// tie-break columns. Missing values sort first within each component
+// (before reversal for descending components). The physical comparison
+// agrees with RowComparator on the order prefix of rows materialized
+// by Rows, and with ascending Value.Compare on the tie-break suffix.
+func (o RecordOrder) Comparator(t *Table, extra ...string) (*PhysicalOrder, error) {
+	p := &PhysicalOrder{asc: make([]bool, len(o))}
+	for _, name := range append(o.Columns(), extra...) {
+		col, err := t.Column(name)
 		if err != nil {
 			return nil, fmt.Errorf("sort order: %w", err)
 		}
-		cols[k] = col
+		p.cols = append(p.cols, col)
 	}
-	asc := make([]bool, len(o))
 	for k, c := range o {
-		asc[k] = c.Ascending
+		p.asc[k] = c.Ascending
 	}
-	return func(i, j int) int {
-		for k, col := range cols {
-			cmp := col.Compare(i, j)
-			if cmp != 0 {
-				if !asc[k] {
-					return -cmp
+	return p, nil
+}
+
+// Compare orders physical rows i and j.
+func (p *PhysicalOrder) Compare(i, j int) int {
+	for k, col := range p.cols {
+		if c := col.Compare(i, j); c != 0 {
+			if k < len(p.asc) && !p.asc[k] {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
+}
+
+// KeyComparator binds key, a row holding values for the order columns
+// only, and returns a function comparing key with physical row i: the
+// sign of RowComparator(key, the row's materialized order prefix),
+// computed without materializing the row. Components the key does not
+// cover compare equal.
+func (p *PhysicalOrder) KeyComparator(key Row) func(i int) int {
+	n := min(len(key), len(p.asc))
+	return func(i int) int {
+		for k := 0; k < n; k++ {
+			if c := key[k].Compare(p.cols[k].Value(i)); c != 0 {
+				if !p.asc[k] {
+					return -c
 				}
-				return cmp
+				return c
 			}
 		}
 		return 0
-	}, nil
+	}
+}
+
+// Rows materializes the physical rows idx in [order columns...,
+// tie-break columns...] layout; the rows share one backing array.
+func (p *PhysicalOrder) Rows(idx []int) []Row {
+	w := len(p.cols)
+	vals := make([]Value, len(idx)*w)
+	out := make([]Row, len(idx))
+	for r, i := range idx {
+		row := vals[r*w : (r+1)*w : (r+1)*w]
+		for k, col := range p.cols {
+			row[k] = col.Value(i)
+		}
+		out[r] = row
+	}
+	return out
 }
 
 // RowComparator returns a comparator over materialized Rows laid out as

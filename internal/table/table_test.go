@@ -169,11 +169,11 @@ func TestRecordOrderComparator(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Row 3 (kyiv) before row 1 (lima).
-	if cmp(3, 1) >= 0 {
+	if cmp.Compare(3, 1) >= 0 {
 		t.Error("kyiv should sort before lima")
 	}
 	// Rows 0 and 2 are both oslo; descending id puts 2 first.
-	if cmp(2, 0) >= 0 {
+	if cmp.Compare(2, 0) >= 0 {
 		t.Error("within oslo, higher id should come first (descending)")
 	}
 	if _, err := Asc("nope").Comparator(tbl); err == nil {

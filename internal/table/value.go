@@ -69,7 +69,8 @@ func (v Value) String() string {
 	}
 }
 
-// Compare orders two values. Missing sorts before any present value;
+// Compare orders two values. Missing sorts before any present value,
+// and NaN after every other double (see cmpFloat);
 // values of different kinds order by kind (this only happens across
 // heterogeneous schemas, which the spreadsheet does not produce).
 func (v Value) Compare(o Value) int {
@@ -113,14 +114,26 @@ func cmpInt(a, b int64) int {
 	}
 }
 
+// cmpFloat is a total order on float64: NaN sorts after +Inf and equals
+// every NaN, so sorts, windows and dedup stay transitive on NaN-bearing
+// data. -0 and +0 compare equal.
 func cmpFloat(a, b float64) int {
 	switch {
 	case a < b:
 		return -1
 	case a > b:
 		return 1
-	default:
+	case a == b:
 		return 0
+	}
+	// At least one side is NaN.
+	switch an, bn := a != a, b != b; {
+	case an && bn:
+		return 0
+	case an:
+		return 1
+	default:
+		return -1
 	}
 }
 
