@@ -3,6 +3,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -480,6 +481,63 @@ func BenchmarkKernelNextK(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := sh.sk.Summarize(t); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportRows(b, rows)
+		})
+	}
+}
+
+// BenchmarkKernelFilter measures the selection kernel behind explore's
+// O6 (filter, then histogram + CDF): FilterOp.Apply over 250k flights
+// rows, one worker's partition. Gt0, Gt15 and Gt27 are O6's cheapest,
+// middle and most selective DepDelay thresholds; And adds a string
+// equality, Abs a builtin call over derived arithmetic. Before timing,
+// each shape's kept count is checked against a row loop over boxed
+// column values.
+func BenchmarkKernelFilter(b *testing.B) {
+	const rows = 250000
+	t := flights.Gen("kf", rows, 1, flights.CoreColumns)
+	dep, arr, carrier := t.MustColumn("DepDelay"), t.MustColumn("ArrDelay"), t.MustColumn("Carrier")
+	depGt := func(th float64) func(i int) bool {
+		return func(i int) bool { v := dep.Value(i); return !v.Missing && v.D > th }
+	}
+	shapes := []struct {
+		name, pred string
+		want       func(i int) bool
+	}{
+		{"Gt0", "DepDelay > 0", depGt(0)},
+		{"Gt15", "DepDelay > 15", depGt(15)},
+		{"Gt27", "DepDelay > 27", depGt(27)},
+		{"And", `DepDelay > 10 && Carrier == "UA"`, func(i int) bool {
+			c := carrier.Value(i)
+			return depGt(10)(i) && !c.Missing && c.S == "UA"
+		}},
+		{"Abs", "abs(ArrDelay - DepDelay) > 20", func(i int) bool {
+			a, d := arr.Value(i), dep.Value(i)
+			return !a.Missing && !d.Missing && math.Abs(a.D-d.D) > 20
+		}},
+	}
+	for _, sh := range shapes {
+		op := engine.FilterOp{Predicate: sh.pred}
+		out, err := op.Apply(t, "kf-out")
+		if err != nil {
+			b.Fatal(err)
+		}
+		want := 0
+		for i := 0; i < rows; i++ {
+			if sh.want(i) {
+				want++
+			}
+		}
+		if out.NumRows() != want || want == 0 {
+			b.Fatalf("%s keeps %d rows, want %d", sh.pred, out.NumRows(), want)
+		}
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := op.Apply(t, "kf-out"); err != nil {
 					b.Fatal(err)
 				}
 			}

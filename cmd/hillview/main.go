@@ -290,7 +290,7 @@ func newServer(root *engine.Root, cfg serve.Config, maxViews int) *server {
 	s := &server{
 		sheet:  spreadsheet.NewWithRunner(root, sched),
 		sched:  sched,
-		views:  newViewRegistry(maxViews, root.Drop),
+		views:  newViewRegistry(maxViews, root.Evict),
 		reg:    obs.NewRegistry(),
 		tracer: obs.NewTracer(0, time.Second, log.Printf),
 	}
@@ -467,8 +467,8 @@ func (e *evictedError) Error() string {
 
 // viewRegistry holds the server's views. Loaded root views are pinned;
 // derived views (filters, zooms) are capped and evicted LRU. Eviction
-// drops the dataset from the engine registry too — the redo log can
-// rebuild it, the registry just stops holding it live.
+// evicts the dataset from the engine registry and from the workers
+// too — the redo log can rebuild it, nothing holds it live.
 type viewRegistry struct {
 	mu      sync.Mutex
 	cap     int
@@ -519,23 +519,33 @@ func (vr *viewRegistry) putLoaded(name string, v *spreadsheet.View) {
 }
 
 func (vr *viewRegistry) putDerived(name string, v *spreadsheet.View) {
+	var dropped []string
 	vr.mu.Lock()
-	defer vr.mu.Unlock()
 	delete(vr.evicted, name)
 	if el, ok := vr.derived[name]; ok {
-		el.Value.(*derivedEntry).view = v
+		// The name moves to the new view; the old one is unreachable.
+		e := el.Value.(*derivedEntry)
+		if old := e.view.ID(); old != v.ID() {
+			dropped = append(dropped, old)
+		}
+		e.view = v
 		vr.lru.MoveToFront(el)
-		return
+	} else {
+		vr.derived[name] = vr.lru.PushFront(&derivedEntry{name: name, view: v})
 	}
-	vr.derived[name] = vr.lru.PushFront(&derivedEntry{name: name, view: v})
 	for vr.cap > 0 && vr.lru.Len() > vr.cap {
 		last := vr.lru.Back()
 		e := last.Value.(*derivedEntry)
 		vr.lru.Remove(last)
 		delete(vr.derived, e.name)
 		vr.evicted[e.name] = true
-		if vr.drop != nil {
-			vr.drop(e.view.ID())
+		dropped = append(dropped, e.view.ID())
+	}
+	vr.mu.Unlock()
+	// Dropping may call every worker; do it without the registry lock.
+	if vr.drop != nil {
+		for _, id := range dropped {
+			vr.drop(id)
 		}
 	}
 }

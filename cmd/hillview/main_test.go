@@ -1,9 +1,12 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -12,7 +15,9 @@ import (
 	"repro/internal/engine"
 	"repro/internal/flights"
 	"repro/internal/serve"
+	"repro/internal/sketch"
 	"repro/internal/storage"
+	"repro/internal/table"
 )
 
 func testServer(t *testing.T) *server {
@@ -208,6 +213,12 @@ func TestFilterAndHeavyHittersEndpoints(t *testing.T) {
 	if len(items) != 1 || items[0]["value"] != "UA" {
 		t.Errorf("items = %v", items)
 	}
+	// A builtin over an argument of the wrong kind is a bind error, a 400.
+	for _, e := range []string{`sqrt(Origin) > 1`, `min(Origin, 3) == "SFO"`, `substr(Origin, 1.0, 2) == "F"`} {
+		if rec, _ := get(t, s.handleFilter, "/api/filter?view=fl&name=bad&expr="+url.QueryEscape(e)); rec.Code != http.StatusBadRequest {
+			t.Errorf("filter %s: %d %s, want 400", e, rec.Code, rec.Body.String())
+		}
+	}
 }
 
 func TestSVGEndpoint(t *testing.T) {
@@ -316,6 +327,96 @@ func TestDerivedViewEviction(t *testing.T) {
 	}
 	if rec, _ := get(t, s.handleMeta, "/api/meta?view=b"); rec.Code != http.StatusOK {
 		t.Errorf("re-derived view b: %d", rec.Code)
+	}
+}
+
+// TestEvictedViewsLeaveWorkers checks that a derived view the cap
+// evicts is dropped on every worker holding it, not only in the root:
+// across three caps' worth of filter-and-evict cycles on a 2-worker
+// cluster, each worker holds at most the loaded view plus -max-views
+// derived ones. An evicted view still answers through lineage replay,
+// and re-deriving it by name, with the answers it gave before eviction.
+func TestEvictedViewsLeaveWorkers(t *testing.T) {
+	const maxViews = 3
+	flights.Register()
+	cfg := engine.Config{AggregationWindow: -1}
+	var workers []*cluster.Worker
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		w := cluster.NewWorker(storage.NewLoader(cfg, 0))
+		addr, err := w.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		workers, addrs = append(workers, w), append(addrs, addr)
+	}
+	clu, err := cluster.Connect(addrs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(clu.Close)
+	root := engine.NewRoot(clu.Loader())
+	s := newServer(root, serve.Config{Deadline: -1}, maxViews)
+	s.attachEnv(nil, nil, clu)
+	if rec, _ := get(t, s.handleLoad, "/api/load?name=fl&source=flights:rows=4000,parts=4,seed=5"); rec.Code != http.StatusOK {
+		t.Fatalf("load: %d %s", rec.Code, rec.Body.String())
+	}
+	loaded := make([]int, len(workers))
+	for i, w := range workers {
+		loaded[i] = w.NumDatasets()
+	}
+
+	filter := func(name, pred string) float64 {
+		t.Helper()
+		rec, body := get(t, s.handleFilter, "/api/filter?view=fl&name="+name+"&expr="+url.QueryEscape(pred))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("filter %s: %d %s", name, rec.Code, rec.Body.String())
+		}
+		return body["rows"].(float64)
+	}
+	hist := &sketch.HistogramSketch{Col: "ArrDelay", Buckets: sketch.NumericBuckets(table.KindDouble, -60, 180, 12)}
+	answer := func(id string) string {
+		t.Helper()
+		if _, err := root.Get(id); err != nil {
+			t.Fatal(err)
+		}
+		res, err := root.RunSketch(context.Background(), id, hist, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(res)
+	}
+
+	firstRows := filter("v0", "DepDelay > 5")
+	first, err := s.views.get("v0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstAnswer := answer(first.ID())
+	for i := 1; i < 3*maxViews; i++ {
+		filter(fmt.Sprintf("v%d", i), fmt.Sprintf("DepDelay > %d", 5+i))
+		for j, w := range workers {
+			if n := w.NumDatasets(); n > loaded[j]+maxViews {
+				t.Fatalf("after %d filters worker %d holds %d datasets, want <= %d", i+1, j, n, loaded[j]+maxViews)
+			}
+		}
+	}
+	if _, err := s.views.get("v0"); err == nil {
+		t.Fatal("v0 was not evicted")
+	}
+	if got := answer(first.ID()); got != firstAnswer {
+		t.Errorf("replayed evicted view answers %s, want %s", got, firstAnswer)
+	}
+	if got := filter("v0", "DepDelay > 5"); got != firstRows {
+		t.Errorf("re-derived v0 keeps %v rows, want %v", got, firstRows)
+	}
+	again, err := s.views.get("v0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := answer(again.ID()); got != firstAnswer {
+		t.Errorf("re-derived view answers %s, want %s", got, firstAnswer)
 	}
 }
 

@@ -86,8 +86,8 @@
 // tables over every column kind, missing mask, dictionary size, and
 // membership shape (table.GenPartitions), then pushes every shipped
 // sketch through three execution topologies — reference
-// Summarize+sequential merge, the parallel accumulator engine (pinned
-// reproducible by engine.Config.StaticAssignment), and the real TCP
+// Summarize+sequential merge, the parallel accumulator engine (whose
+// fixed stripe merge shape makes every run reproducible), and the real TCP
 // cluster path — and asserts agreement under per-sketch oracle
 // contracts (sketch.RegisterOracle: exact for deterministic sketches,
 // documented error bounds for Misra–Gries and sampling sketches). A

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -204,6 +205,91 @@ func TestClusterRootEndToEnd(t *testing.T) {
 	}
 	if atomic.LoadInt32(&partials) == 0 {
 		t.Error("no partials reached the root")
+	}
+}
+
+// TestEvictReleasesWorkersUnderLoad evicts a derived dataset over and
+// over while other goroutines query it. Eviction drops the dataset on
+// the workers and queries replay it, so every answer must equal the
+// first one; run it under -race for the release/ensure interleavings.
+// Concurrent replays leave worker copies behind handles the root no
+// longer holds; once the queries stop, one more eviction of the
+// dataset's current handle drops those copies too (they share its ID),
+// leaving only the loaded dataset on each worker.
+func TestEvictReleasesWorkersUnderLoad(t *testing.T) {
+	c, workers := startWorkers(t, 2)
+	root := engine.NewRoot(c.Loader())
+	if _, err := root.Load("fl", "flights:rows=4000,parts=2,seed=4{worker}"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := root.Filter("fl", "late", "DepDelay > 20"); err != nil {
+		t.Fatal(err)
+	}
+	hist := &sketch.HistogramSketch{Col: "ArrDelay", Buckets: sketch.NumericBuckets(table.KindDouble, -60, 240, 16)}
+	answer := func() (string, error) {
+		// Get replays the dataset if an eviction removed it, and a
+		// replay invalidates its cached results, so the query reaches
+		// the workers.
+		if _, err := root.Get("late"); err != nil {
+			return "", err
+		}
+		res, err := root.RunSketch(context.Background(), "late", hist, nil)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprint(res), nil
+	}
+	want, err := answer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				root.Evict("late")
+			}
+		}
+	}()
+	errs := make(chan error, 3)
+	var queries sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		queries.Add(1)
+		go func() {
+			defer queries.Done()
+			for i := 0; i < 15; i++ {
+				got, err := answer()
+				if err == nil && got != want {
+					err = fmt.Errorf("answer %s, want %s", got, want)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	queries.Wait()
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if _, err := root.Get("late"); err != nil {
+		t.Fatal(err)
+	}
+	root.Evict("late")
+	for i, w := range workers {
+		if n := w.NumDatasets(); n != 1 {
+			t.Errorf("worker %d holds %d datasets after the final eviction, want 1", i, n)
+		}
 	}
 }
 

@@ -126,6 +126,40 @@ func (d *dataset) invalidate(s *slot) {
 	st.mu.Unlock()
 }
 
+// releaseTimeout bounds the drop requests of one Release.
+const releaseTimeout = 10 * time.Second
+
+// Release implements engine.Releaser: it drops the dataset's ID on
+// every live worker, in parallel, and forgets this handle's
+// materializations, so a later ensure re-derives it through the
+// lineage. It asks every worker, not only those this handle
+// materialized: concurrent replays of one dataset build separate
+// handles whose worker copies share the ID. Dropping an ID a worker
+// does not hold is a no-op there.
+func (d *dataset) Release() {
+	ctx, cancel := context.WithTimeout(context.Background(), releaseTimeout)
+	defer cancel()
+	var wg sync.WaitGroup
+	for _, s := range d.c.snapshotSlots() {
+		wg.Add(1)
+		go func(s *slot) {
+			defer wg.Done()
+			st := d.state(s)
+			st.mu.Lock()
+			defer st.mu.Unlock()
+			st.gen = 0
+			cl, _, err := s.liveClient()
+			if err != nil {
+				return
+			}
+			// Best effort: if the request fails the connection is lost
+			// or the worker is stuck, and the health monitor owns both.
+			_ = cl.Drop(ctx, d.id)
+		}(s)
+	}
+	wg.Wait()
+}
+
 // materialize eagerly loads the dataset on every live worker, in
 // parallel. Worker losses are tolerated as long as every group keeps at
 // least one materialized replica; leaf-count mismatches are not.

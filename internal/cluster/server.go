@@ -261,12 +261,22 @@ func (w *Worker) serveConn(conn net.Conn) {
 		w.active.Add(1)
 		w.inFlight.Add(1)
 		go func(env *Envelope) {
+			// finish takes the request off ActiveRequests. It runs before
+			// the final reply is sent: a root that has the reply may send
+			// its next request at once, and must not find this one still
+			// counted.
+			var finished atomic.Bool
+			finish := func() {
+				if finished.CompareAndSwap(false, true) {
+					w.inFlight.Add(-1)
+				}
+			}
 			defer func() {
 				mu.Lock()
 				delete(cancels, env.ReqID)
 				mu.Unlock()
 				cancel()
-				w.inFlight.Add(-1)
+				finish()
 				w.active.Done()
 			}()
 			// A panic while serving one request (a buggy sketch summarize,
@@ -278,19 +288,25 @@ func (w *Worker) serveConn(conn net.Conn) {
 				if pe := engine.CapturePanic(recover()); pe != nil {
 					w.logf("cluster worker: request %d: %v\n%s", env.ReqID, pe, pe.Stack)
 					reply := &Envelope{Kind: MsgError, ReqID: env.ReqID, Err: pe.Error()}
+					finish()
 					if err := fc.send(reply); err != nil {
 						w.logf("cluster worker: send: %v", err)
 					}
 				}
 			}()
-			w.handle(ctx, fc, env)
+			w.handle(ctx, fc, env, finish)
 		}(env)
 	}
 }
 
-func (w *Worker) handle(ctx context.Context, fc *frameConn, env *Envelope) {
+// handle serves one request. finish is called just before the final
+// (non-partial) reply is sent.
+func (w *Worker) handle(ctx context.Context, fc *frameConn, env *Envelope, finish func()) {
 	reply := func(out *Envelope) {
 		out.ReqID = env.ReqID
+		if out.Kind != MsgPartial {
+			finish()
+		}
 		if err := fc.send(out); err != nil {
 			w.logf("cluster worker: send: %v", err)
 		}

@@ -79,16 +79,6 @@ type Config struct {
 	// sharding). Chunk boundaries and per-chunk sampling seeds depend
 	// only on this value, so results are replay-deterministic.
 	ChunkRows int
-	// StaticAssignment pins each leaf-scan task to a worker by stride
-	// (worker w folds tasks w, w+N, w+2N, …) instead of letting workers
-	// race on a shared queue. Chunk-to-accumulator assignment — and with
-	// it the result of merge-order-sensitive sketches like Misra–Gries —
-	// then depends only on the configuration, never on scheduling, so a
-	// run is exactly reproducible. The differential-oracle harness
-	// (internal/testkit) uses this to assert run-to-run determinism;
-	// production keeps the racing queue, whose dynamic balancing is
-	// faster under skewed chunk costs.
-	StaticAssignment bool
 }
 
 // DefaultChunkRows is the default leaf-scan chunk size: large enough

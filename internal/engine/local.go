@@ -160,7 +160,7 @@ func (d *LocalDataSet) lazyLeafTasks(sk sketch.Sketch) []leafTask {
 	for pi, m := range d.leaves {
 		// An empty partition still gets its whole-partition task (via
 		// Hi-Lo <= chunk), exactly like the eager planner: identical
-		// task lists keep static worker assignment — and with it
+		// task lists keep the stripe merge shape — and with it
 		// merge-order-sensitive results — bit-identical across the
 		// eager and lazy forms.
 		if whole || m.Bound <= chunk || m.Hi-m.Lo <= chunk {
@@ -201,11 +201,38 @@ func (d *LocalDataSet) taskTable(tk leafTask, cols []string) (*table.Table, func
 	return t, release, nil
 }
 
-// leafWorker is one thread of the leaf pool: it drains the task queue
-// into its own accumulator (or, for sketches without one, a private
-// Merge fold), so workers never contend on a shared summary. mu
-// serializes the worker's folding with snapshots taken by the partial
-// emitter.
+// maxLeafStripes bounds the number of stripes, and so of accumulators,
+// one leaf scan folds into. It caps the scan's useful parallelism; past
+// it, more stripes would only cost accumulator allocation and merges.
+const maxLeafStripes = 64
+
+// leafStripes splits n scan tasks into runs of consecutive tasks and
+// returns the run boundaries: stripe s covers tasks [b[s], b[s+1]).
+// The split is a pure function of n — never of the thread count or of
+// scheduling — so the merge shape of a scan is too. Stripes differ in
+// length by at most one task, and the longer ones come first, so the
+// last stripes claimed are the short ones.
+func leafStripes(n int) []int {
+	s := min(n, maxLeafStripes)
+	b := make([]int, s+1)
+	if s == 0 {
+		return b
+	}
+	q, r := n/s, n%s
+	for i := 1; i <= s; i++ {
+		b[i] = b[i-1] + q
+		if i <= r {
+			b[i]++
+		}
+	}
+	return b
+}
+
+// leafWorker holds one stripe's fold: the stripe's tasks go, in task
+// order, into its own accumulator (or, for sketches without one, a
+// private Merge fold), so pool threads never contend on a shared
+// summary. mu serializes the folding with snapshots taken by the
+// partial emitter.
 type leafWorker struct {
 	mu   sync.Mutex
 	acc  sketch.Accumulator // non-nil when the sketch provides one
@@ -248,7 +275,8 @@ func (w *leafWorker) snapshot() sketch.Result {
 	return w.fold
 }
 
-// result returns the worker's final summary; the worker must be idle.
+// result returns the stripe's final summary; no thread may still fold
+// into it.
 func (w *leafWorker) result() sketch.Result {
 	if w.acc != nil {
 		return w.acc.Result()
@@ -256,24 +284,28 @@ func (w *leafWorker) result() sketch.Result {
 	return w.fold
 }
 
-// mergeSnapshots combines every worker's current snapshot into one
+// mergeSnapshots combines every stripe's current snapshot into one
 // summary with a pairwise merge tree.
-func mergeSnapshots(sk sketch.Sketch, workers []*leafWorker) (sketch.Result, error) {
-	snaps := make([]sketch.Result, len(workers))
-	for i, w := range workers {
+func mergeSnapshots(sk sketch.Sketch, stripes []*leafWorker) (sketch.Result, error) {
+	snaps := make([]sketch.Result, len(stripes))
+	for i, w := range stripes {
 		snaps[i] = w.snapshot()
 	}
 	return sketch.MergeTree(sk, snaps...)
 }
 
 // Sketch implements IDataSet. Each partition is scanned as one or more
-// fixed-range chunk tasks (see leafTasks). A pool of workers drains the
-// task queue; every worker folds the chunks it pulls into its own
-// accumulator (sketch.AccumulatorSketch) or private Merge fold, so no
-// chunk result ever crosses a shared lock, and the per-worker states
-// combine in a pairwise merge tree once the queue is empty. Partial
-// results are emitted at most once per aggregation window: the emitting
-// worker merges a snapshot of every worker's state and invokes
+// fixed-range chunk tasks (see leafTasks), grouped into stripes of
+// consecutive tasks (see leafStripes). A pool of workers claims whole
+// stripes from a shared cursor and folds each stripe's tasks, in order,
+// into the stripe's own accumulator (sketch.AccumulatorSketch) or
+// private Merge fold, so no chunk result ever crosses a shared lock;
+// once every stripe is folded, the stripe states combine in a pairwise
+// merge tree in stripe order. Which thread folds a stripe does not
+// matter, so the result — merge-order-sensitive sketches such as
+// Misra–Gries included — is the same on every run, thread count and
+// replica. Partial results are emitted at most once per aggregation
+// window: the emitting worker merges a snapshot of every stripe and invokes
 // onPartial holding only the emission lock, never a fold or progress
 // lock — a slow partial consumer costs dropped partials, never a
 // stalled scan. Done counts fully folded partitions. Cancellation stops
@@ -305,22 +337,23 @@ func (d *LocalDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial P
 		}
 	}
 
+	bounds := leafStripes(len(tasks))
+	stripes := make([]*leafWorker, len(bounds)-1)
+	for i := range stripes {
+		stripes[i] = newLeafWorker(sk)
+	}
 	nw := d.parallelism()
-	if nw > len(tasks) {
-		nw = len(tasks)
+	if nw > len(stripes) {
+		nw = len(stripes)
 	}
 	if nw < 1 {
 		nw = 1
 	}
-	workers := make([]*leafWorker, nw)
-	for i := range workers {
-		workers[i] = newLeafWorker(sk)
-	}
 	th := newThrottle(d.cfg.window())
 
 	// Partial emission: the worker that wins the throttle reads the
-	// progress counter, snapshots every worker, and invokes onPartial
-	// holding only emitMu — never a worker's fold lock or the progress
+	// progress counter, snapshots every stripe, and invokes onPartial
+	// holding only emitMu — never a stripe's fold lock or the progress
 	// lock. emitMu serializes emissions so Done stays monotone; window
 	// emissions take it with TryLock, so while a slow consumer is still
 	// inside onPartial later emissions are dropped (the next window
@@ -329,8 +362,14 @@ func (d *LocalDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial P
 	// dropped windows are superseded by the final Done==Total partial,
 	// never by silence. Progress is read after winning emitMu and workers fold
 	// before they update progress, so each emitted summary covers at
-	// least the chunks its Done count claims.
-	var emitMu sync.Mutex
+	// least the chunks its Done count claims. Only stripes claimed by
+	// then are snapshotted: the rest hold nothing, and waiting on a
+	// stripe a worker claims after the read would let the emitter trail
+	// that worker stripe by stripe to the end of the scan.
+	var (
+		emitMu sync.Mutex
+		cursor atomic.Int64 // next stripe to claim
+	)
 	emitPartial := func() {
 		if !emitMu.TryLock() {
 			return
@@ -346,7 +385,8 @@ func (d *LocalDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial P
 		if bad || dn == total {
 			return
 		}
-		snap, err := mergeSnapshots(sk, workers)
+		claimed := min(int(cursor.Load()), len(stripes))
+		snap, err := mergeSnapshots(sk, stripes[:claimed])
 		if err != nil {
 			return // partial emission is best-effort
 		}
@@ -365,13 +405,10 @@ func (d *LocalDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial P
 
 	tr := obs.TraceFrom(ctx)
 	leafSp := tr.StartSpan("scan.leaf")
-	var (
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-	)
-	for wi, w := range workers {
+	var wg sync.WaitGroup
+	for range nw {
 		wg.Add(1)
-		go func(wi int, w *leafWorker) {
+		go func() {
 			defer wg.Done()
 			// A panicking sketch fails this query only: the recovered
 			// panic becomes the scan's first error, the other workers
@@ -386,19 +423,15 @@ func (d *LocalDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial P
 					progMu.Unlock()
 				}
 			}()
-			// Dynamic scheduling pulls from the shared cursor; static
-			// assignment (Config.StaticAssignment) walks a fixed stride
-			// so the chunk-to-worker mapping is a pure function of the
-			// configuration.
-			next := func() int { return int(cursor.Add(1)) - 1 }
-			if d.cfg.StaticAssignment {
-				i := wi - nw
-				next = func() int { i += nw; return i }
-			}
+			// Claimed stripe and the next task in it; a stripe is
+			// claimed whole, so its tasks fold in order into its own
+			// state.
+			var w *leafWorker
+			i, end := 0, 0
 			for {
 				// Cancellation removes enqueued work (paper §5.3);
 				// running chunks finish. The context is checked before
-				// every pull so a cancelled query never claims new work.
+				// every task so a cancelled query never starts new work.
 				if ctx.Err() != nil {
 					return
 				}
@@ -408,9 +441,12 @@ func (d *LocalDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial P
 				if stop {
 					return
 				}
-				i := next()
-				if i >= len(tasks) {
-					return
+				if i == end {
+					si := int(cursor.Add(1)) - 1
+					if si >= len(stripes) {
+						return
+					}
+					w, i, end = stripes[si], bounds[si], bounds[si+1]
 				}
 				tk := tasks[i]
 				// Sampled chunk spans: on a traced query, one chunk in
@@ -449,6 +485,7 @@ func (d *LocalDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial P
 					progMu.Unlock()
 					return
 				}
+				i++
 				progMu.Lock()
 				pending[tk.part]--
 				if pending[tk.part] == 0 {
@@ -459,18 +496,18 @@ func (d *LocalDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial P
 					emitPartial()
 				}
 			}
-		}(wi, w)
+		}()
 	}
 	wg.Wait()
-	leafSp.EndNote("chunks=" + strconv.Itoa(len(tasks)) + " workers=" + strconv.Itoa(nw))
+	leafSp.EndNote("chunks=" + strconv.Itoa(len(tasks)) + " stripes=" + strconv.Itoa(len(stripes)) + " workers=" + strconv.Itoa(nw))
 	if firstErr != nil {
 		return nil, firstErr
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	results := make([]sketch.Result, len(workers))
-	for i, w := range workers {
+	results := make([]sketch.Result, len(stripes))
+	for i, w := range stripes {
 		results[i] = w.result()
 	}
 	mergeSp := tr.StartSpan("merge.tree")

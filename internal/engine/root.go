@@ -243,6 +243,28 @@ func (r *Root) Drop(id string) {
 	r.mu.Unlock()
 }
 
+// Releaser is implemented by datasets whose state lives outside the
+// root process (worker-side copies). Release discards that state; a
+// later use rebuilds it from the lineage.
+type Releaser interface {
+	Release()
+}
+
+// Evict discards a dataset the caller no longer needs live: like Drop,
+// and, when the dataset is a Releaser, its state on other processes too.
+// The redo-log record stays, so a later Get replays the lineage. Drop,
+// by contrast, serves replay itself: it forgets a stub whose remote
+// state is already gone.
+func (r *Root) Evict(id string) {
+	r.mu.Lock()
+	ds := r.datasets[id]
+	delete(r.datasets, id)
+	r.mu.Unlock()
+	if rel, ok := ds.(Releaser); ok {
+		rel.Release()
+	}
+}
+
 // DropAll discards every in-memory dataset, simulating a full restart
 // where only the redo log survives (paper §5.8).
 func (r *Root) DropAll() {

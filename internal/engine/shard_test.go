@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/sketch"
 	"repro/internal/table"
@@ -291,5 +292,76 @@ func TestSparsePartitionNotChunked(t *testing.T) {
 	ds2 := NewLocal("sp2", parts, Config{ChunkRows: 500})
 	if tasks := ds2.leafTasks(histSketch()); len(tasks) != 10 {
 		t.Errorf("dense partition split into %d tasks, want 10", len(tasks))
+	}
+}
+
+// TestMisraGriesOneAnswer runs Misra–Gries, whose merge is
+// order-sensitive, 50 times at several thread counts, with and without
+// partial emission. The stripe merge shape depends only on the task
+// list, so every run must return the same summary. 102 chunk tasks make
+// stripes of more than one task.
+func TestMisraGriesOneAnswer(t *testing.T) {
+	schema := table.NewSchema(table.ColumnDesc{Name: "s", Kind: table.KindString})
+	var parts []*table.Table
+	for p := 0; p < 6; p++ {
+		b := table.NewBuilder(schema, 5000)
+		for i := 0; i < 5000; i++ {
+			// A skewed stream with a long tail of near-equal counts, so
+			// the surviving tail counters depend on the merge order.
+			v := (i*i + 7*p) % 97 % (1 + i%13)
+			b.AppendRow(table.Row{table.StringValue(fmt.Sprintf("v%d", v))})
+		}
+		parts = append(parts, b.Freeze(fmt.Sprintf("mg-p%d", p)))
+	}
+	sk := &sketch.MisraGriesSketch{Col: "s", K: 6}
+	var want sketch.Result
+	for _, par := range []int{1, 2, 3, 4, 8} {
+		for run := 0; run < 10; run++ {
+			cfg := Config{Parallelism: par, AggregationWindow: -1, ChunkRows: 300}
+			var onPartial PartialFunc
+			if run%2 == 1 {
+				cfg.AggregationWindow = time.Nanosecond
+				onPartial = func(Partial) {}
+			}
+			ds := NewLocal("mg", parts, cfg)
+			if n := len(ds.leafTasks(sk)); n != 102 {
+				t.Fatalf("%d leaf tasks, want 102", n)
+			}
+			got, err := ds.Sketch(context.Background(), sk, onPartial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("parallelism %d run %d: %+v, want %+v", par, run, got, want)
+			}
+		}
+	}
+}
+
+// TestLeafStripes pins the stripe split: it covers the tasks in order,
+// uses at most maxLeafStripes stripes, and puts the longer stripes
+// first with lengths differing by at most one.
+func TestLeafStripes(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 90, 1000} {
+		b := leafStripes(n)
+		if want := min(n, maxLeafStripes); len(b) != want+1 {
+			t.Fatalf("n=%d: %d stripes, want %d", n, len(b)-1, want)
+		}
+		if b[0] != 0 || b[len(b)-1] != n {
+			t.Fatalf("n=%d: bounds %v do not cover [0, %d)", n, b, n)
+		}
+		for s := 1; s < len(b); s++ {
+			size := b[s] - b[s-1]
+			if size < 1 || size > (n+len(b)-2)/(len(b)-1) {
+				t.Fatalf("n=%d: stripe %d has %d tasks (bounds %v)", n, s-1, size, b)
+			}
+			if s > 1 && size > b[s-1]-b[s-2] {
+				t.Fatalf("n=%d: stripe %d is longer than the one before it (bounds %v)", n, s-1, b)
+			}
+		}
 	}
 }

@@ -111,7 +111,7 @@ func sourceParts(t *testing.T, n, rows int) []*table.Table {
 func TestLazySourceMatchesEager(t *testing.T) {
 	parts := sourceParts(t, 4, 3000)
 	for _, chunk := range []int{-1, 700} {
-		cfg := Config{Parallelism: 3, AggregationWindow: -1, ChunkRows: chunk, StaticAssignment: true}
+		cfg := Config{Parallelism: 3, AggregationWindow: -1, ChunkRows: chunk}
 		src := newMemSource(parts)
 		lazy := NewLocalSource("l", src, cfg)
 		eager := NewLocal("l", parts, cfg)

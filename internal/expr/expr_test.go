@@ -9,7 +9,7 @@ import (
 	"repro/internal/table"
 )
 
-func exprTestTable(t *testing.T) *table.Table {
+func exprTestTable(t testing.TB) *table.Table {
 	t.Helper()
 	schema := table.NewSchema(
 		table.ColumnDesc{Name: "a", Kind: table.KindInt},
@@ -34,7 +34,7 @@ func evalAt(t *testing.T, src string, row int) table.Value {
 	if err != nil {
 		t.Fatalf("Bind(%q): %v", src, err)
 	}
-	return c.Fn(row)
+	return c.Value(row)
 }
 
 func TestArithmetic(t *testing.T) {
@@ -368,10 +368,10 @@ func TestNaNComparisons(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Bind(%q): %v", src, err)
 		}
-		if got := c.Fn(0); !math.IsNaN(got.Double()) {
+		if got := c.Value(0); !math.IsNaN(got.Double()) {
 			t.Errorf("%s with x = NaN = %v, want NaN", src, got)
 		}
-		if got, want := c.Fn(1).Double(), 5.0; got != want {
+		if got, want := c.Value(1).Double(), 5.0; got != want {
 			t.Errorf("%s with x = 5 = %v, want %v", src, got, want)
 		}
 	}

@@ -15,6 +15,25 @@
 // Booleans are represented as int 0/1 (the Value type has no bool kind);
 // any non-zero number is truthy. Missing values propagate through
 // operators and functions, except isMissing and coalesce.
+//
+// # Typed evaluation
+//
+// Bind compiles each AST node once into a typed evaluator for the kind
+// it declares: func(row) (float64, bool) for doubles, func(row) (int64,
+// bool) for ints and dates, func(row) (string, bool) for strings, where
+// the bool reports a missing value. Column references read the stored
+// columns' backing slices and missing masks, literals are constants, and
+// operators stay typed end to end, so a filter builds no table.Value per
+// row. Only two boundaries box: builtin calls, whose arguments are boxed
+// into the builtin's evaluator, and Compiled.Value, which backs derived
+// columns.
+//
+// The kind invariant: every row of a Compiled evaluates to its declared
+// Kind. Bind enforces it by checking argument kinds: numeric builtins
+// reject strings, substr positions must be ints, and min, max and the
+// branches of if and coalesce must be all numbers or all strings.
+// Numbers of different kinds promote (an int chosen where the result is
+// a double converts), and a kind error is a bind error.
 package expr
 
 import (

@@ -31,7 +31,7 @@
 //	serve.dedup_join     annotation: joined an identical in-flight query
 //	engine.cache_hit     annotation: served from the computation cache
 //	engine.replay_retry  annotation: redo-log replay before retrying
-//	scan.leaf            one leaf pass over all chunks (note chunks= workers=)
+//	scan.leaf            one leaf pass over all chunks (note chunks= stripes= workers=)
 //	scan.chunk           a single chunk task, 1-in-16 sampled
 //	merge.tree           the pairwise accumulator merge
 //	wire.call            root-side RPC to one worker (note = worker addr)

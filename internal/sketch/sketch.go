@@ -85,8 +85,8 @@ type Sketch interface {
 	Merge(a, b Result) (Result, error)
 }
 
-// Accumulator is a reusable mutable fold state for one leaf worker: the
-// worker feeds it many partitions or chunks with Add instead of
+// Accumulator is a reusable mutable fold state for one leaf stripe: the
+// engine feeds it many partitions or chunks with Add instead of
 // allocating a fresh Result per chunk and paying Merge each time. For
 // deterministic sketches the accumulated summary must be exactly the
 // summary Summarize+Merge would produce over the same chunks;
@@ -94,7 +94,7 @@ type Sketch interface {
 // bound, exactly as different merge orders may.
 //
 // Accumulators are not safe for concurrent use; the engine gives each
-// worker its own and serializes Add/Snapshot with a per-worker lock.
+// stripe its own and serializes Add/Snapshot with a per-stripe lock.
 type Accumulator interface {
 	// Add folds the member rows of one partition or chunk into the
 	// accumulator.

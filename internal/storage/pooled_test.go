@@ -45,7 +45,7 @@ func TestPooledLoaderMatchesEagerLoader(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := writeShards(t, 3, 2000, tc.write)
-			cfg := engine.Config{Parallelism: 2, AggregationWindow: -1, ChunkRows: 700, StaticAssignment: true}
+			cfg := engine.Config{Parallelism: 2, AggregationWindow: -1, ChunkRows: 700}
 			micro := 900 // force file splitting: 2000 rows -> 3 micropartitions
 
 			pool := colstore.NewPool(4096) // tiny: constant eviction churn

@@ -435,22 +435,30 @@ func Restrict(m Membership, lo, hi int) Membership {
 // FilterMembership evaluates keep over every member row of parent and
 // returns a new membership of the kept rows, choosing the dense bitmap
 // representation when more than 1/32 of physical rows survive and the
-// sparse list otherwise (paper §5.6).
+// sparse list otherwise (paper §5.6). Kept rows are marked in a bitset
+// as the parent's spans are scanned, so the sparse list is allocated
+// once at its exact size.
 func FilterMembership(parent Membership, keep func(i int) bool) Membership {
-	var kept []int32
-	parent.Iterate(func(i int) bool {
-		if keep(i) {
-			kept = append(kept, int32(i))
+	max := parent.Max()
+	bits := NewBitset(max)
+	parent.IterateSpans(func(start, end int) bool {
+		for i := start; i < end; i++ {
+			var bit uint64
+			if keep(i) {
+				bit = 1
+			}
+			bits.Words[i>>6] |= bit << (uint(i) & 63)
 		}
 		return true
 	})
-	max := parent.Max()
-	if len(kept)*32 >= max && max > 0 {
-		bits := NewBitset(max)
-		for _, r := range kept {
-			bits.Set(int(r))
-		}
-		return NewBitmapMembership(bits)
+	kept := bits.Count()
+	if kept*32 >= max && max > 0 {
+		return &BitmapMembership{bits: bits, lo: 0, hi: max, size: kept}
 	}
-	return NewSparseMembership(kept, max)
+	rows := make([]int32, 0, kept)
+	bits.Iterate(func(i int) bool {
+		rows = append(rows, int32(i))
+		return true
+	})
+	return NewSparseMembership(rows, max)
 }

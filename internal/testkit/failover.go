@@ -48,7 +48,6 @@ func RunFailover(seed uint64) error {
 		Parallelism:       2,
 		AggregationWindow: time.Millisecond,
 		ChunkRows:         200,
-		StaticAssignment:  true,
 	}
 	src := genSource(prefix, seed, rows, parts, 2)
 	sks := instances(seed, info)

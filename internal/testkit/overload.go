@@ -93,7 +93,6 @@ func RunOverload(seed uint64) error {
 		Parallelism:       3,
 		AggregationWindow: -1,
 		ChunkRows:         p.chunk,
-		StaticAssignment:  true,
 	}
 	// Shared 2-replica cluster: 4 workers in 2 groups of 2.
 	h, err := startClusterOpts(4, cfg, nil, nil, cluster.Options{Replication: 2})
@@ -109,8 +108,8 @@ func RunOverload(seed uint64) error {
 	set := instances(seed, info)
 
 	// Phase 0 — unloaded baselines: each instance once, no scheduler, no
-	// concurrency. StaticAssignment makes the loaded runs comparable
-	// bit-for-bit.
+	// concurrency. The leaf scan's fixed stripe merge shape makes the
+	// loaded runs comparable bit-for-bit.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*runTimeout)
 	defer cancel()
 	ctx = tracedContext(ctx)

@@ -46,7 +46,6 @@ func RunPooled(seed uint64) error {
 		Parallelism:       3,
 		AggregationWindow: -1,
 		ChunkRows:         p.chunk,
-		StaticAssignment:  true,
 	}
 
 	dir, err := os.MkdirTemp("", "hvpool")

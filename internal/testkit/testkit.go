@@ -12,9 +12,9 @@
 //  1. reference — Summarize per partition, sequential MergeAll fold:
 //     the semantics a vizketch author writes down;
 //  2. parallel engine — engine.LocalDataSet with chunked leaf tasks,
-//     per-worker accumulators, and the pairwise merge tree, pinned by
-//     Config.StaticAssignment so the run is exactly reproducible (it
-//     also runs twice and must be bit-identical to itself);
+//     per-stripe accumulators, and the pairwise merge tree, whose fixed
+//     shape makes the run exactly reproducible (it also runs twice and
+//     must be bit-identical to itself);
 //  3. cluster — the same partitions regenerated on real worker
 //     processes behind TCP (the "testgen" scheme), queried through
 //     engine.Root over cluster.Connect.
@@ -183,7 +183,6 @@ func Run(seed uint64) error {
 		Parallelism:       3,
 		AggregationWindow: -1,
 		ChunkRows:         chunk,
-		StaticAssignment:  true,
 	}
 	local := engine.NewLocal(datasetID, tables, cfg)
 
@@ -225,15 +224,15 @@ func runOne(ctx context.Context, sk sketch.Sketch, tables []*table.Table, local 
 	if err != nil {
 		return fmt.Errorf("parallel engine: %w", err)
 	}
-	// Static assignment makes the parallel topology a pure function of
-	// the configuration: a second run must be bit-identical, even for
-	// merge-order-sensitive sketches.
+	// The stripe merge shape is a pure function of the scan geometry: a
+	// second run must be bit-identical, even for merge-order-sensitive
+	// sketches.
 	eng2, err := local.Sketch(ctx, sk, nil)
 	if err != nil {
 		return fmt.Errorf("parallel engine rerun: %w", err)
 	}
 	if !reflect.DeepEqual(eng, eng2) {
-		return fmt.Errorf("parallel engine not deterministic under static assignment:\n first %+v\nsecond %+v", eng, eng2)
+		return fmt.Errorf("parallel engine not deterministic:\n first %+v\nsecond %+v", eng, eng2)
 	}
 	clu, err := root.RunSketch(ctx, datasetID, sk, nil)
 	if err != nil {
@@ -308,7 +307,6 @@ func checkPartialStream(ctx context.Context, seed uint64, tables []*table.Table,
 		Parallelism:       3,
 		AggregationWindow: 1, // emit at every window boundary
 		ChunkRows:         chunk/2 + 1,
-		StaticAssignment:  true,
 	}
 	ds := engine.NewLocal(datasetID, tables, cfg)
 	sk := &sketch.HistogramSketch{
